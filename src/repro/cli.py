@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import List, Optional
 
@@ -115,6 +116,27 @@ def _add_network_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--seed", type=int, default=0, help="seed for stochastic choices")
 
 
+#: SimulationConfig field -> the shared network option that sets it (the
+#: option's argparse dest is its name without dashes)
+_NETWORK_OPTIONS = {
+    "topology": "--topology",
+    "routing": "--routing",
+    "nodes_per_tor": "--nodes-per-tor",
+    "oversubscription": "--oversubscription",
+    "fattree_planes": "--fattree-planes",
+    "fattree_rails": "--fattree-rails",
+    "route_cache_entries": "--route-cache-entries",
+    "torus_dims": "--torus-dims",
+    "torus_hosts_per_node": "--torus-hosts-per-node",
+    "slimfly_q": "--slimfly-q",
+    "slimfly_hosts_per_router": "--slimfly-hosts-per-router",
+    "cc_algorithm": "--cc",
+    "shards": "--shards",
+    "load_snapshot_ns": "--load-snapshot-ns",
+    "seed": "--seed",
+}
+
+
 def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
     if args.shards > 1 and args.backend != "htsim":
         # the analytic LogGOPS backend has no packet events to shard; a
@@ -130,23 +152,22 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
             f"--load-snapshot-ns must be non-negative, got {args.load_snapshot_ns} "
             "(0 = auto: the topology's minimum link latency)"
         )
-    return SimulationConfig(
-        topology=args.topology,
-        routing=args.routing,
-        nodes_per_tor=args.nodes_per_tor,
-        oversubscription=args.oversubscription,
-        fattree_planes=args.fattree_planes,
-        fattree_rails=args.fattree_rails,
-        route_cache_entries=args.route_cache_entries,
-        torus_dims=args.torus_dims,
-        torus_hosts_per_node=args.torus_hosts_per_node,
-        slimfly_q=args.slimfly_q,
-        slimfly_hosts_per_router=args.slimfly_hosts_per_router,
-        cc_algorithm=args.cc,
-        shards=args.shards,
-        load_snapshot_ns=args.load_snapshot_ns,
-        seed=args.seed,
-    )
+    values = {
+        field: getattr(args, option[2:].replace("-", "_"))
+        for field, option in _NETWORK_OPTIONS.items()
+    }
+    try:
+        return SimulationConfig(**values)
+    except ValueError as exc:
+        # SimulationConfig's messages name the offending field; report it as
+        # the option the user typed, in one line, with argparse's exit code
+        message = str(exc)
+        for field, option in _NETWORK_OPTIONS.items():
+            if re.search(rf"\b{field}\b", message):
+                message = f"argument {option} {values[field]}: {message}"
+                break
+        print(f"atlahs: error: {message}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _print_result(name: str, result, extra: Optional[dict] = None) -> None:
@@ -843,11 +864,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     cases = None
     if args.cases:
-        cases = [c for c in default_suite(args.quick) if args.cases in c.name]
-        if not cases:
-            known = ", ".join(c.name for c in default_suite(args.quick))
-            print(f"error: --cases {args.cases!r} matches no case (have: {known})")
-            return 2
+        suite = default_suite(args.quick)
+        for pattern in args.cases:
+            if not any(pattern in c.name for c in suite):
+                known = ", ".join(c.name for c in suite)
+                print(f"error: --cases {pattern!r} matches no case (have: {known})")
+                return 2
+        cases = [c for c in suite if any(pattern in c.name for pattern in args.cases)]
     results = run_suite(quick=args.quick, cases=cases)
     rows = []
     for name, case in results["cases"].items():
@@ -1204,9 +1227,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quick", action="store_true", help="tiny workloads (CI smoke job)")
     p.add_argument(
         "--cases",
+        action="append",
         default=None,
         help="only run cases whose name contains this substring "
-        "(e.g. 'allreduce16k' for the scale cases alone)",
+        "(e.g. 'allreduce16k' for the scale cases alone); repeatable, "
+        "runs every case matching any of them",
     )
     p.add_argument("--output", default=None, help="output path (default BENCH_<rev>.json)")
     p.add_argument("--baseline", default=None, help="baseline BENCH_*.json to compare against")

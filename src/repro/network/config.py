@@ -144,19 +144,22 @@ class SimulationConfig:
         update processing cost.
     seed:
         Seed for any stochastic choice (ECMP hashing, jitter).
-    route_caching / packet_batching / loggops_batching:
-        Performance-engine toggles (see ``docs/performance.md``).  All three
-        default on and are *exact*: disabling one falls back to the slower
-        legacy code path but must produce bit-identical simulated results
-        for the same seed.  They exist for A/B determinism tests and for
-        bisecting perf regressions, not as accuracy knobs.
+    packet_batching:
+        Packet link engine toggle (see ``docs/performance.md``).  On by
+        default: the arithmetic burst link queue.  Off selects the legacy
+        event-per-transmission link queue.  It is *exact*: both settings
+        produce bit-identical simulated results for the same seed.  It
+        exists for A/B determinism tests and for bisecting perf
+        regressions, not as an accuracy knob.
     route_cache_entries / route_synthesis:
-        Route-table memory model (see ``docs/scaling.md``).  Per-pair
-        route/alive/view tables live in LRU caches bounded to
-        ``route_cache_entries`` entries each (0 = unbounded);
-        ``route_synthesis`` builds candidates structurally from coordinates
-        instead of the enumeration reference.  Both are exact: any setting
-        produces bit-identical simulated results for the same seed.
+        Route-table memory model (see ``docs/scaling.md``).  There is one
+        route path: per-pair route/alive/view tables hold candidate tuples
+        and build their numpy views only when adaptive routing reads them.
+        The tables live in LRU caches bounded to ``route_cache_entries``
+        entries each (0 = unbounded); ``route_synthesis`` builds candidates
+        structurally from coordinates instead of the enumeration reference.
+        Both are exact: any setting produces bit-identical simulated
+        results for the same seed.
     shards:
         Conservative-window parallel packet engine (see ``docs/scaling.md``):
         partition the fabric into this many shards, one event loop each,
@@ -209,12 +212,10 @@ class SimulationConfig:
     min_retransmit_timeout: int = 100_000  # ns
     ack_size: int = 64
 
-    # performance engine toggles (all exact: flipping one must not change
-    # simulated results — the determinism tests in
-    # tests/test_perf_determinism.py run both settings and compare)
-    route_caching: bool = True
+    # packet link engine toggle (exact: flipping it must not change
+    # simulated results — tests/test_perf_determinism.py runs both settings
+    # against golden fingerprints)
     packet_batching: bool = True
-    loggops_batching: bool = True
 
     # route-table memory model (see docs/scaling.md): per-pair route/alive/
     # view tables live in LRU caches bounded to this many entries per cache
@@ -232,7 +233,7 @@ class SimulationConfig:
     # in-process otherwise) and exchanges boundary-crossing packets at
     # lookahead barriers.  shards=1 (the default) is today's single-process
     # engine, bit-identical to previous releases — the same A/B-flag
-    # contract as packet_batching/route_caching/route_synthesis.  Sharded
+    # contract as packet_batching/route_synthesis.  Sharded
     # runs are deterministic and shard-count-invariant (stochastic choices
     # are keyed by flow / queue identity rather than drawn from one global
     # stream), and coincide with shards=1 exactly on configurations that

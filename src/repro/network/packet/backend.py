@@ -118,9 +118,7 @@ class PacketBackend(NetworkBackend):
         self.topology = build_topology(config, num_ranks)
         self.topology.set_route_cache_budget(config.route_cache_entries)
         self.topology.use_synthesis = config.route_synthesis
-        self.routing = create_routing(
-            config.routing, self.topology, self.rng, use_cache=config.route_caching
-        )
+        self.routing = create_routing(config.routing, self.topology, self.rng)
         # fault injection (see repro.network.faults): static degradations are
         # applied before the link queues capture bandwidths, static failures
         # before any route is picked, and timed events are scheduled ahead of
@@ -258,18 +256,19 @@ class PacketBackend(NetworkBackend):
         self.events.schedule(ready_time, self._post_recv, (rank, src, size, tag, stream, op_id))
 
     # ------------------------------------------------------------------- flows
-    def _link_load(self, link_id: int) -> int:
-        """Live queue occupancy of a link (legacy callable form)."""
-        return self.queues[link_id].queued_bytes
-
     def _link_load_view(self) -> "np.ndarray":
         """Queue occupancy of every link as an array indexed by link id.
 
-        Queues with no departure earlier than ``now`` need no drain, so the
-        common idle/fresh case is a slot read instead of a method call.
+        Burst queues with no departure earlier than ``now`` need no drain,
+        so the common idle/fresh case is a slot read instead of a method
+        call; legacy queues keep their occupancy current.
         """
-        now = self.events.now
         view = self._load_view
+        if not self._batching:
+            for i, q in enumerate(self.queues):
+                view[i] = q.queued_bytes
+            return view
+        now = self.events.now
         for i, q in enumerate(self.queues):
             view[i] = q.occupancy(now) if q.head_depart < now else q.queued_bytes
         return view
@@ -282,17 +281,11 @@ class PacketBackend(NetworkBackend):
         if cp is not None and self._cp_stale:
             view = cp.view_key(self._host_attach[src])
             if view != self.topology.failed_links:
-                load = None
-                if self._needs_load:
-                    load = (
-                        self._link_load_view() if self._batching else self._link_load
-                    )
+                load = self._link_load_view() if self._needs_load else None
                 return self.routing.select_route(src, dst, size, load, view)
         if not self._needs_load:
             return self.routing.select_route(src, dst, size, None)
-        if self._batching:
-            return self.routing.select_route(src, dst, size, self._link_load_view())
-        return self.routing.select_route(src, dst, size, self._link_load)
+        return self.routing.select_route(src, dst, size, self._link_load_view())
 
     def _base_rtt(self, route: Tuple[int, ...], ack_route: Tuple[int, ...]) -> int:
         key = (route, ack_route)

@@ -484,9 +484,6 @@ class ShardPacketBackend(PacketBackend):
         return int(rng.integers(n))
 
     # ----------------------------------------------------------- load snapshots
-    def _link_load(self, link_id: int) -> int:
-        return int(self._snap_view[link_id])
-
     def _link_load_view(self) -> "np.ndarray":
         return self._snap_view
 

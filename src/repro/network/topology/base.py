@@ -10,8 +10,8 @@ link.  Regular topologies additionally provide *structural synthesis*
 (:meth:`Topology.synthesized_routes`): candidates derived from coordinates
 in closed form, so route lookup needs no per-pair precomputation at all.
 
-Derived per-pair state (route tables, alive/view-filtered tables, latency
-sums) lives in bounded LRU caches — an unbounded memo is O(N²) in hosts and
+Derived per-pair state (route tables, alive/view-filtered tables) lives in
+bounded LRU caches — an unbounded memo is O(N²) in hosts and
 does not survive datacenter-scale runs (see docs/scaling.md).
 """
 from __future__ import annotations
@@ -111,35 +111,60 @@ def pick_route(candidates: Sequence[Tuple[int, ...]], rng: "np.random.Generator"
 
 
 class RouteTable:
-    """Precomputed candidate-route table for one ``(src, dst)`` host pair.
+    """Candidate-route table for one ``(src, dst)`` host pair.
 
-    Built lazily by :meth:`Topology.route_table` and memoized, so routing
-    strategies stop re-deriving candidate tuples (and their per-link sums)
-    once per message.  Besides the candidate tuples themselves the table
-    carries flat numpy views used by the vectorized UGAL cost:
+    Built by :meth:`Topology.route_table` and memoized, so routing
+    strategies stop re-deriving candidate tuples once per message.  The
+    table holds only the candidate tuples until a strategy asks for the
+    flat numpy views used by the vectorized UGAL cost; all four are then
+    built together and kept on the table:
 
     * ``hops`` — path length per candidate,
     * ``latency`` — summed propagation latency per candidate (ns),
     * ``links_flat`` / ``offsets`` — CSR layout of the candidates' link ids,
       so per-candidate queued-bytes sums are one gather + ``reduceat``.
+
+    Only adaptive routing reads the views; minimal and Valiant routing
+    (and every latency query) use the candidate tuples alone.
     """
 
-    __slots__ = ("candidates", "hops", "latency", "links_flat", "offsets")
+    __slots__ = ("candidates", "_links", "_views")
 
     def __init__(self, candidates: Tuple[Tuple[int, ...], ...], links: Sequence[Link]) -> None:
+        self.candidates = candidates
+        self._links = links
+        self._views: Optional[Tuple["np.ndarray", ...]] = None
+
+    def _build_views(self) -> Tuple["np.ndarray", ...]:
         import numpy as np
 
-        self.candidates = candidates
-        self.hops = np.array([len(r) for r in candidates], dtype=np.int64)
-        self.latency = np.array(
+        candidates = self.candidates
+        links = self._links
+        hops = np.array([len(r) for r in candidates], dtype=np.int64)
+        latency = np.array(
             [sum(links[l].latency for l in r) for r in candidates], dtype=np.int64
         )
-        self.links_flat = np.array(
-            [l for r in candidates for l in r], dtype=np.intp
-        )
+        links_flat = np.array([l for r in candidates for l in r], dtype=np.intp)
         offsets = np.zeros(len(candidates) + 1, dtype=np.intp)
-        np.cumsum(self.hops, out=offsets[1:])
-        self.offsets = offsets
+        np.cumsum(hops, out=offsets[1:])
+        self._views = views = (hops, latency, links_flat, offsets)
+        return views
+
+    @property
+    def hops(self) -> "np.ndarray":
+        return (self._views or self._build_views())[0]
+
+    @property
+    def latency(self) -> "np.ndarray":
+        return (self._views or self._build_views())[1]
+
+    @property
+    def links_flat(self) -> "np.ndarray":
+        return (self._views or self._build_views())[2]
+
+    @property
+    def offsets(self) -> "np.ndarray":
+        return (self._views or self._build_views())[3]
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -186,11 +211,10 @@ class Topology:
         # enumeration reference :meth:`routes`.  Both must be bit-identical
         # (check_routes / tests/test_route_synthesis.py enforce it).
         self.use_synthesis = True
-        # Lazily built per-pair candidate tables and per-route latency sums,
-        # all bounded LRU caches — the per-pair key space is O(N²) in hosts.
+        # Lazily built per-pair candidate tables in a bounded LRU cache —
+        # the per-pair key space is O(N²) in hosts.
         self.route_cache_budget = DEFAULT_ROUTE_CACHE_BUDGET
         self._route_tables = LruCache()
-        self._route_latency = LruCache()
         # fault state (see repro.network.faults): failure counts per link id
         # (a link can be failed by several overlapping causes — a static
         # failure plus a drain of either endpoint — and stays down until
@@ -224,7 +248,6 @@ class Topology:
             self._route_tables,
             self._alive_tables,
             self._view_tables,
-            self._route_latency,
         ]
 
     # -- construction helpers (used by subclasses) ---------------------------
@@ -298,13 +321,9 @@ class Topology:
         return table
 
     def route_latency(self, route: Tuple[int, ...]) -> int:
-        """LRU-cached propagation latency (ns) summed along ``route``."""
-        latency = self._route_latency.get(route)
-        if latency is None:
-            links = self.links
-            latency = sum(links[l].latency for l in route)
-            self._route_latency.put(route, latency)
-        return latency
+        """Propagation latency (ns) summed along ``route``."""
+        links = self.links
+        return sum(links[l].latency for l in route)
 
     def min_link_latency(self) -> int:
         """Minimum propagation latency (ns) over every link of the fabric.
@@ -319,8 +338,8 @@ class Topology:
     def set_route_cache_budget(self, budget: int) -> None:
         """Bound every per-pair route cache to ``budget`` entries (0 = unbounded).
 
-        Applies to the route/alive/view table caches, the per-route latency
-        memo, and any subclass-registered per-pair memo (e.g. the torus DOR
+        Applies to the route/alive/view table caches and any
+        subclass-registered per-pair memo (e.g. the torus DOR
         path cache).  Shrinking trims least-recently-used entries
         immediately.  Eviction never changes results — evicted tables are
         rebuilt bit-identically on the next lookup.
@@ -639,8 +658,7 @@ class Topology:
 
     def min_path_latency(self, src_host: int, dst_host: int) -> int:
         """Propagation latency along the first candidate route (ns)."""
-        table = self.route_table(src_host, dst_host)
-        return int(table.latency[0])
+        return self.route_latency(self.route_table(src_host, dst_host).candidates[0])
 
     def describe(self) -> Dict[str, object]:
         """Summary of the topology (device/link counts) for reports."""

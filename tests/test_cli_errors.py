@@ -5,7 +5,8 @@ Covers ``atlahs cotenant``, ``atlahs faults`` and ``atlahs inference``: bad
 ``pattern:ranks:size`` job specs, malformed/overlapping arrival lists,
 unknown placement strategies, bad failure rates, unknown link names,
 malformed timed-event specs, malformed tenant-mix specs, negative offered
-rates and unknown arrival processes.  Every case asserts a
+rates and unknown arrival processes, plus out-of-range shared network
+options (``--slimfly-q 6``, ``--nodes-per-tor 0``, ...).  Every case asserts a
 :class:`SystemExit` whose message names the offending input, which is what
 separates a diagnosable CLI error from a stack trace.
 """
@@ -453,3 +454,25 @@ class TestShardingFlagErrors:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["messages"] > 0
+
+
+class TestNetworkOptionErrors:
+    """A bad network option exits 2 with one stderr line naming the option."""
+
+    @pytest.mark.parametrize(
+        "args,option",
+        [
+            (["--topology", "slimfly", "--slimfly-q", "6"], "--slimfly-q 6"),
+            (["--nodes-per-tor", "0"], "--nodes-per-tor 0"),
+            (["--oversubscription", "0.5"], "--oversubscription 0.5"),
+            (["--route-cache-entries", "-1"], "--route-cache-entries -1"),
+            (["--backend", "htsim", "--shards", "0"], "--shards 0"),
+        ],
+    )
+    def test_bad_value_is_one_line_exit_2(self, capsys, args, option):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["synthetic", "allreduce", "--ranks", "8", *args])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"atlahs: error: argument {option}: ")

@@ -206,3 +206,25 @@ class TestCli:
         code = main(["bench", "--quick", "--cases", "nonesuch"])
         assert code == 2
         assert "matches no case" in capsys.readouterr().out
+
+    def test_bench_cli_repeated_cases_run_the_union(self, monkeypatch):
+        import repro.perf
+        from repro.cli import main
+
+        ran = []
+
+        def fake_run_suite(quick=False, cases=None):
+            ran.extend(c.name for c in cases)
+            raise SystemExit(0)  # record the selection, time nothing
+
+        monkeypatch.setattr(repro.perf, "run_suite", fake_run_suite)
+        with pytest.raises(SystemExit):
+            main(["bench", "--quick", "--cases", "fig8", "--cases", "alltoall_lgs"])
+        assert ran == ["fig8_ai_lgs", "fig8_ai_htsim", "alltoall_lgs"]
+
+    def test_bench_cli_rejects_any_unmatched_case_filter(self, capsys):
+        from repro.cli import main
+
+        code = main(["bench", "--quick", "--cases", "fig8", "--cases", "nonesuch"])
+        assert code == 2
+        assert "'nonesuch' matches no case" in capsys.readouterr().out

@@ -1,19 +1,31 @@
 """Determinism of the performance engines.
 
-The hot-path optimizations — cached route tables with vectorized UGAL
-costs (``route_caching``), the arithmetic burst link engine
-(``packet_batching``) and the batched/vectorized LogGOPS eager path
-(``loggops_batching``) — are required to be *exact*: for a fixed seed,
-the optimized and legacy code paths must produce bit-identical simulated
-results (finish times, per-rank finish times, message records, drop/trim/
-ECN counts).  These tests run both settings across backends, routing
-strategies and congestion regimes (including drops, ECN marking and NDP
-trimming) and compare everything.
+The hot-path engines are required to be *exact*: for a fixed seed they
+reproduce, bit for bit, the simulated results of the reference engines
+they replaced.  The reference engines (per-message route derivation with
+scalar UGAL costs, and one LogGOPS event per send with a scalar eager
+recurrence) no longer exist, so their results live on as golden
+fingerprints in ``tests/golden/perf_determinism.json``: finish time,
+per-rank finish times, a sha256 over the message records, messages and
+bytes delivered, and drop/trim/ECN/retransmission/max-queue counters.
+Every case below must match its golden entry exactly.
+
+The arithmetic burst link engine (``packet_batching``) still has its
+legacy event-per-transmission counterpart, so packet cases additionally
+run both settings live and compare them against the same golden entry.
 
 The parallel sweep engine gets the same treatment: worker processes must
 return entries identical to the serial engine.
+
+The golden file holds ``{name: _run_case(name) for name in CASES}`` as
+JSON.  Only a deliberate change of the simulated model may regenerate it,
+and that change says so in CHANGES.md.
 """
 from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -21,14 +33,75 @@ from repro.network.config import LogGOPSParams, SimulationConfig
 from repro.scheduler import simulate
 from repro.schedgen import all_to_all, incast, permutation, ring_allreduce_microbenchmark
 
+GOLDEN_PATH = Path(__file__).with_name("golden") / "perf_determinism.json"
 
-def _run(schedule, backend, config):
+ROUTINGS = ("minimal", "valiant", "adaptive")
+SENDER_CCS = ("mprdma", "dctcp", "swift", "fixed")
+PATH_DIVERSE = {
+    "torus": {"topology": "torus", "torus_dims": (4, 4), "torus_hosts_per_node": 1},
+    "slimfly": {"topology": "slimfly", "slimfly_q": 5, "slimfly_hosts_per_router": 1},
+}
+
+#: case name -> (schedule factory, backend, SimulationConfig keyword arguments)
+CASES = {
+    **{
+        f"htsim-alltoall-{routing}": (
+            lambda: all_to_all(8, 1 << 14),
+            "htsim",
+            {"nodes_per_tor": 4, "routing": routing, "seed": 3},
+        )
+        for routing in ROUTINGS
+    },
+    # small buffers force drops and ECN marks
+    **{
+        f"htsim-incast-{cc}": (
+            lambda: incast(12, 1 << 19),
+            "htsim",
+            {"nodes_per_tor": 4, "buffer_size": 1 << 16, "cc_algorithm": cc},
+        )
+        for cc in SENDER_CCS
+    },
+    "htsim-incast-ndp": (
+        lambda: incast(12, 1 << 19),
+        "htsim",
+        {"nodes_per_tor": 4, "buffer_size": 1 << 16, "cc_algorithm": "ndp"},
+    ),
+    **{
+        f"htsim-adaptive-{name}": (
+            lambda: permutation(16, 1 << 16, seed=5),
+            "htsim",
+            {"routing": "adaptive", **extra},
+        )
+        for name, extra in PATH_DIVERSE.items()
+    },
+    "lgs-eager-flat": (lambda: all_to_all(16, 1 << 16), "lgs", {}),
+    "lgs-rendezvous": (
+        lambda: all_to_all(16, 1 << 16),
+        "lgs",
+        {"loggops": LogGOPSParams.hpc_cluster()},
+    ),
+    # every sender shares the destination: coupled max-chains
+    "lgs-incast": (lambda: incast(16, 1 << 18), "lgs", {}),
+    **{
+        f"lgs-torus-{routing}": (
+            lambda: all_to_all(8, 1 << 14),
+            "lgs",
+            {"topology": "torus", "torus_dims": (2, 2), "torus_hosts_per_node": 2, "routing": routing},
+        )
+        for routing in ROUTINGS
+    },
+    "lgs-ring-allreduce": (lambda: ring_allreduce_microbenchmark(8, 1 << 20), "lgs", {}),
+}
+
+
+def _fingerprint(schedule, backend, config):
     result = simulate(schedule, backend=backend, config=config, validate=False)
     stats = result.stats
+    records = repr([tuple(r) for r in result.message_records]).encode()
     return {
         "finish": result.finish_time_ns,
-        "rank_finish": tuple(result.rank_finish_times_ns),
-        "records": tuple(result.message_records),
+        "rank_finish": list(result.rank_finish_times_ns),
+        "records_sha256": hashlib.sha256(records).hexdigest(),
         "messages": stats.messages_delivered,
         "bytes": stats.bytes_delivered,
         "drops": stats.packets_dropped,
@@ -39,119 +112,75 @@ def _run(schedule, backend, config):
     }
 
 
-def _assert_exact(schedule, backend, config):
-    legacy = _run(
-        schedule,
-        backend,
-        config.replace(route_caching=False, packet_batching=False, loggops_batching=False),
-    )
-    optimized = _run(
-        schedule,
-        backend,
-        config.replace(route_caching=True, packet_batching=True, loggops_batching=True),
-    )
-    assert legacy == optimized
+def _run_case(name, **overrides):
+    make_schedule, backend, kwargs = CASES[name]
+    return _fingerprint(make_schedule(), backend, SimulationConfig(**kwargs, **overrides))
+
+
+def _golden():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def _assert_exact(name):
+    """Run case ``name`` and compare it with its golden fingerprint.
+
+    Packet cases run with the burst link engine on and off; both must
+    match the golden entry.  Returns the fingerprint.
+    """
+    golden = _golden()[name]
+    _, backend, _ = CASES[name]
+    fingerprint = _run_case(name)
+    assert fingerprint == golden
+    if backend == "htsim":
+        assert _run_case(name, packet_batching=False) == golden
+    return fingerprint
+
+
+def test_golden_covers_every_case():
+    assert sorted(_golden()) == sorted(CASES)
 
 
 class TestPacketBackendExactness:
-    @pytest.mark.parametrize("routing", ["minimal", "valiant", "adaptive"])
+    @pytest.mark.parametrize("routing", ROUTINGS)
     def test_alltoall_all_routings(self, routing):
-        _assert_exact(
-            all_to_all(8, 1 << 14),
-            "htsim",
-            SimulationConfig(nodes_per_tor=4, routing=routing, seed=3),
-        )
+        _assert_exact(f"htsim-alltoall-{routing}")
 
-    @pytest.mark.parametrize("cc", ["mprdma", "dctcp", "swift", "fixed"])
+    @pytest.mark.parametrize("cc", SENDER_CCS)
     def test_contended_incast_with_drops_and_ecn(self, cc):
-        # small buffers force drops and ECN marks; all must match exactly
-        config = SimulationConfig(nodes_per_tor=4, buffer_size=1 << 16, cc_algorithm=cc)
-        results = _run(incast(12, 1 << 19), "htsim", config)
+        results = _assert_exact(f"htsim-incast-{cc}")
         assert results["drops"] > 0 or results["ecn"] > 0  # regime sanity
-        _assert_exact(incast(12, 1 << 19), "htsim", config)
 
     def test_ndp_trimming_and_pull_pacing(self):
-        config = SimulationConfig(nodes_per_tor=4, buffer_size=1 << 16, cc_algorithm="ndp")
-        results = _run(incast(12, 1 << 19), "htsim", config)
+        results = _assert_exact("htsim-incast-ndp")
         assert results["trims"] > 0  # trimming regime actually exercised
-        _assert_exact(incast(12, 1 << 19), "htsim", config)
 
-    @pytest.mark.parametrize(
-        "topology,extra",
-        [
-            ("torus", {"torus_dims": (4, 4), "torus_hosts_per_node": 1}),
-            ("slimfly", {"slimfly_q": 5, "slimfly_hosts_per_router": 1}),
-        ],
-    )
-    def test_adaptive_on_path_diverse_topologies(self, topology, extra):
-        _assert_exact(
-            permutation(16, 1 << 16, seed=5),
-            "htsim",
-            SimulationConfig(topology=topology, routing="adaptive", **extra),
-        )
+    @pytest.mark.parametrize("topology", sorted(PATH_DIVERSE))
+    def test_adaptive_on_path_diverse_topologies(self, topology):
+        _assert_exact(f"htsim-adaptive-{topology}")
 
     def test_same_seed_same_results_repeated(self):
         config = SimulationConfig(nodes_per_tor=4, routing="adaptive", seed=11)
-        a = _run(all_to_all(8, 1 << 15), "htsim", config)
-        b = _run(all_to_all(8, 1 << 15), "htsim", config)
+        a = _fingerprint(all_to_all(8, 1 << 15), "htsim", config)
+        b = _fingerprint(all_to_all(8, 1 << 15), "htsim", config)
         assert a == b
 
 
 class TestLogGOPSExactness:
     def test_eager_flat_latency(self):
-        _assert_exact(all_to_all(16, 1 << 16), "lgs", SimulationConfig())
+        _assert_exact("lgs-eager-flat")
 
     def test_rendezvous_protocol(self):
-        _assert_exact(
-            all_to_all(16, 1 << 16),
-            "lgs",
-            SimulationConfig(loggops=LogGOPSParams.hpc_cluster()),
-        )
+        _assert_exact("lgs-rendezvous")
 
-    def test_coupled_batches_incast(self):
-        # every batch member shares the destination: the vector path must
-        # bail out to the scalar chain and still match exactly
-        _assert_exact(incast(16, 1 << 18), "lgs", SimulationConfig())
+    def test_coupled_incast(self):
+        _assert_exact("lgs-incast")
 
-    @pytest.mark.parametrize("routing", ["minimal", "valiant", "adaptive"])
+    @pytest.mark.parametrize("routing", ROUTINGS)
     def test_topology_aware_latency(self, routing):
-        _assert_exact(
-            all_to_all(8, 1 << 14),
-            "lgs",
-            SimulationConfig(
-                topology="torus", torus_dims=(2, 2), torus_hosts_per_node=2, routing=routing
-            ),
-        )
+        _assert_exact(f"lgs-torus-{routing}")
 
     def test_ring_allreduce(self):
-        _assert_exact(ring_allreduce_microbenchmark(8, 1 << 20), "lgs", SimulationConfig())
-
-    def test_vectorized_batch_path_actually_engages(self):
-        # guards against the A/B test passing vacuously because the batch
-        # loop never groups anything (e.g. a broken callback identity
-        # check).  Chained permutation rounds unlock one send per rank at
-        # the same completion instant, producing 16-wide consecutive runs
-        # (first-round fronts do not batch: their send events interleave
-        # with same-time recv posts, which share CPU streams and therefore
-        # may not be reordered past).
-        from repro.network.loggops.backend import LogGOPSBackend
-        from repro.scheduler import GoalScheduler
-
-        backend = LogGOPSBackend()
-        scheduler = GoalScheduler(
-            permutation(16, 1 << 12, seed=1, messages_per_rank=3),
-            backend=backend,
-            config=SimulationConfig(),
-        )
-        calls = []
-        original = backend._eager_batch_vectorized
-        backend._eager_batch_vectorized = lambda time, payloads: (
-            calls.append(len(payloads)),
-            original(time, payloads),
-        )[1]
-        scheduler.run()
-        assert calls, "no send batch ever took the vectorized path"
-        assert max(calls) >= 8
+        _assert_exact("lgs-ring-allreduce")
 
 
 def _sweep_key(entry):
@@ -231,3 +260,4 @@ class TestPullPacing:
     def test_monotone_emissions(self):
         times = self._emission_times(bandwidth=25.0)
         assert all(b >= a for a, b in zip(times, times[1:]))
+

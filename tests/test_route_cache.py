@@ -1,7 +1,7 @@
 """Unit and property tests of the bounded route-table caches.
 
-The per-pair route memos (`route_table` / `alive_table` / `view_table` /
-`route_latency`, plus the per-topology path memos) are O(N²) in hosts; this
+The per-pair route memos (`route_table` / `alive_table` / `view_table`,
+plus the per-topology path memos) are O(N²) in hosts; this
 PR bounds them with LRU caches (see docs/scaling.md).  Covered here:
 
 * the :class:`LruCache` primitive itself (hits, misses, eviction order,

@@ -102,7 +102,8 @@ class TestAdaptive:
         topo = SlimFlyTopology(20, q=5, hosts_per_router=2)
         strategy = AdaptiveRouting(topo, _rng())
         minimal = set(topo.routes(0, 19))
-        assert strategy.select_route(0, 19, 0, lambda link: 0) in minimal
+        idle = np.zeros(len(topo.links), dtype=np.int64)
+        assert strategy.select_route(0, 19, 0, idle) in minimal
 
     def test_congestion_diverts_to_valiant(self):
         topo = TorusTopology(16, dims=(4, 4))
@@ -111,8 +112,10 @@ class TestAdaptive:
         minimal = set(topo.routes(0, 5))
         # saturate the router-level links of every minimal path (the host
         # up/downlinks are shared with any detour and stay unloaded)
-        hot = {link for route in minimal for link in route[1:-1]}
-        route = strategy.select_route(0, 5, 0, lambda link: 1 << 20 if link in hot else 0)
+        hot = sorted({link for route in minimal for link in route[1:-1]})
+        loads = np.zeros(len(topo.links), dtype=np.int64)
+        loads[hot] = 1 << 20
+        route = strategy.select_route(0, 5, 0, loads)
         assert route not in minimal
         topo.validate_route(route, 0, 5)
 
@@ -121,7 +124,8 @@ class TestAdaptive:
         # over the minimal candidates instead of always taking the first
         topo = FatTreeTopology(32, nodes_per_tor=4, oversubscription=1.0)
         strategy = AdaptiveRouting(topo, _rng())
-        chosen = {strategy.select_route(0, 12, 0, lambda link: 0) for _ in range(30)}
+        idle = np.zeros(len(topo.links), dtype=np.int64)
+        chosen = {strategy.select_route(0, 12, 0, idle) for _ in range(30)}
         assert len(chosen) > 1
 
     def test_no_load_signal_behaves_minimally(self):
